@@ -95,7 +95,13 @@ func newProxy(rt *core.Runtime, ref codec.Ref, h hint) (*Proxy, error) {
 			rt.Kernel().Unregister(p.cbObject)
 			return nil, err
 		}
-		p.version = v
+		// The callback object is already live, so an invalidation may
+		// have raced this reply: keep the higher version, under the lock.
+		p.mu.Lock()
+		if v > p.version {
+			p.version = v
+		}
+		p.mu.Unlock()
 	}
 	return p, nil
 }

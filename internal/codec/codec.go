@@ -169,8 +169,7 @@ func appendValue(dst []byte, v any, depth int) ([]byte, error) {
 	case float64:
 		return appendFloat(dst, x), nil
 	case string:
-		dst = append(dst, byte(TagString))
-		return wire.AppendString(dst, x), nil
+		return AppendString(dst, x), nil
 	case []byte:
 		dst = append(dst, byte(TagBytes))
 		return wire.AppendBytes(dst, x), nil
@@ -271,8 +270,17 @@ func sortStrings(s []string) {
 }
 
 // EncodeArgs encodes an argument vector (a TagList of the given values).
+// It writes the list in place, byte-identical to Append(nil, args), without
+// boxing the slice into an interface.
 func EncodeArgs(args ...any) ([]byte, error) {
-	return Append(nil, anySlice(args))
+	dst := AppendListHeader(nil, len(args))
+	var err error
+	for _, a := range args {
+		if dst, err = AppendElem(dst, a); err != nil {
+			return dst, err
+		}
+	}
+	return dst, nil
 }
 
 // AppendListHeader opens a TagList of exactly n elements; the caller
@@ -289,9 +297,13 @@ func AppendElem(dst []byte, v any) ([]byte, error) {
 	return appendValue(dst, v, 1)
 }
 
-func anySlice(args []any) []any {
-	if args == nil {
-		return []any{}
-	}
-	return args
+// AppendString appends s as a string value, byte-identical to
+// Append(dst, s) but without boxing s into an interface.
+func AppendString(dst []byte, s string) []byte {
+	dst = append(dst, byte(TagString))
+	return wire.AppendString(dst, s)
 }
+
+// AppendUint appends v as an unsigned value, byte-identical to
+// Append(dst, v) but without boxing v into an interface.
+func AppendUint(dst []byte, v uint64) []byte { return appendUint(dst, v) }

@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -215,6 +216,74 @@ func TestDecodeArgsTrailing(t *testing.T) {
 	buf = append(buf, 0xff)
 	if _, err := DecodeArgs(buf); err == nil {
 		t.Error("DecodeArgs accepted trailing garbage")
+	}
+}
+
+// TestArgsMatchGenericList pins EncodeArgs and DecodeArgs to the generic
+// list path they bypass: byte-identical encodings, the same depth limit,
+// and the same error text, including for vectors nested right at the
+// depth limit and for inputs that are not lists at all.
+func TestArgsMatchGenericList(t *testing.T) {
+	nest := func(levels int) any {
+		var v any = int64(1)
+		for i := 0; i < levels; i++ {
+			v = []any{v}
+		}
+		return v
+	}
+	// genericDecodeArgs is the decode-then-assert form DecodeArgs replaces.
+	genericDecodeArgs := func(src []byte) ([]any, error) {
+		v, n, err := Decode(src)
+		if err != nil {
+			return nil, err
+		}
+		if n != len(src) {
+			return nil, fmt.Errorf("codec: %d trailing bytes after argument vector", len(src)-n)
+		}
+		args, ok := v.([]any)
+		if !ok {
+			return nil, fmt.Errorf("codec: argument vector is %T, want list", v)
+		}
+		return args, nil
+	}
+	errText := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
+	var inputs [][]byte
+	for _, args := range [][]any{
+		nil,
+		{"get", int64(-3), []byte("v"), true},
+		{nest(MaxDepth - 2)},
+		{nest(MaxDepth - 1)},
+		{nest(MaxDepth)},
+		{make(chan int)},
+	} {
+		got, gerr := EncodeArgs(args...)
+		want, werr := Append(nil, append([]any{}, args...))
+		if errText(gerr) != errText(werr) {
+			t.Fatalf("EncodeArgs(%d args) error %q, generic %q", len(args), gerr, werr)
+		}
+		if gerr == nil && !bytes.Equal(got, want) {
+			t.Fatalf("EncodeArgs = %x, generic = %x", got, want)
+		}
+		inputs = append(inputs, want)
+	}
+	deep, _ := Append(nil, []any{nest(MaxDepth - 1)})
+	deeper := append([]byte{byte(TagList), 1}, deep...) // one level past the limit
+	str, _ := Append(nil, "not a list")
+	inputs = append(inputs, deeper, str, append(str, 0), nil, []byte{byte(TagList), 5, byte(TagNil)})
+	for _, in := range inputs {
+		got, gerr := DecodeArgs(in)
+		want, werr := genericDecodeArgs(in)
+		if errText(gerr) != errText(werr) {
+			t.Errorf("DecodeArgs(%x) error %q, generic %q", in, gerr, werr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("DecodeArgs(%x) = %#v, generic %#v", in, got, want)
+		}
 	}
 }
 

@@ -63,7 +63,11 @@ func (d *Decoder) decodeValue(src []byte, depth int) (any, int, error) {
 		}
 		return append([]byte(nil), b...), 1 + n, nil
 	case TagList:
-		return d.decodeList(rest, depth)
+		l, n, err := d.decodeList(rest, depth)
+		if err != nil {
+			return nil, 0, err
+		}
+		return l, n, nil
 	case TagMap:
 		return d.decodeMap(rest, depth)
 	case TagStruct:
@@ -92,7 +96,9 @@ func (d *Decoder) decodeValue(src []byte, depth int) (any, int, error) {
 	}
 }
 
-func (d *Decoder) decodeList(src []byte, depth int) (any, int, error) {
+// decodeList parses a list body (src starts after the tag byte); the
+// count it returns includes the tag byte.
+func (d *Decoder) decodeList(src []byte, depth int) ([]any, int, error) {
 	count, used, err := wire.Uvarint(src)
 	if err != nil {
 		return nil, 0, err
@@ -210,18 +216,26 @@ func Decode(src []byte) (any, int, error) {
 }
 
 // DecodeArgs decodes an argument vector produced by EncodeArgs, applying
-// the decoder's hooks to every element.
+// the decoder's hooks to every element. A top-level list is decoded
+// directly into the returned slice, at the depth Decode would give it;
+// anything else is decoded only to name its type in the error.
 func (d *Decoder) DecodeArgs(src []byte) ([]any, error) {
-	v, n, err := d.Decode(src)
+	if len(src) == 0 || Tag(src[0]) != TagList {
+		v, n, err := d.Decode(src)
+		if err != nil {
+			return nil, err
+		}
+		if n != len(src) {
+			return nil, fmt.Errorf("codec: %d trailing bytes after argument vector", len(src)-n)
+		}
+		return nil, fmt.Errorf("codec: argument vector is %T, want list", v)
+	}
+	args, n, err := d.decodeList(src[1:], 0)
 	if err != nil {
 		return nil, err
 	}
 	if n != len(src) {
 		return nil, fmt.Errorf("codec: %d trailing bytes after argument vector", len(src)-n)
-	}
-	args, ok := v.([]any)
-	if !ok {
-		return nil, fmt.Errorf("codec: argument vector is %T, want list", v)
 	}
 	return args, nil
 }

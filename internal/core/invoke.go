@@ -40,18 +40,13 @@ func EncodeRequest(cap uint64, method string, args []any) ([]byte, error) {
 // element, with no intermediate vector.
 func AppendRequest(dst []byte, cap uint64, method string, args []any) ([]byte, error) {
 	dst = codec.AppendListHeader(dst, len(args)+2)
-	dst, err := codec.AppendElem(dst, cap)
-	if err == nil {
-		dst, err = codec.AppendElem(dst, method)
-	}
+	dst = codec.AppendUint(dst, cap)
+	dst = codec.AppendString(dst, method)
 	for _, a := range args {
-		if err != nil {
-			break
+		var err error
+		if dst, err = codec.AppendElem(dst, a); err != nil {
+			return nil, fmt.Errorf("core: encode request %q: %w", method, err)
 		}
-		dst, err = codec.AppendElem(dst, a)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("core: encode request %q: %w", method, err)
 	}
 	return dst, nil
 }

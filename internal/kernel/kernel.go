@@ -97,13 +97,15 @@ type NodeOption func(*Node)
 const DefaultDispatchLimit = 512
 
 // WithDispatchLimit bounds concurrently-running handlers (default
-// DefaultDispatchLimit). When the limit saturates, the node's receive
-// pump blocks before spawning the next handler: inbound frames queue in
-// the endpoint's receive buffer, then in the transport, so overload
-// turns into backpressure on senders (and eventually rpc timeouts)
-// instead of unbounded goroutine growth. Responses are exempt — they
-// complete pending calls directly and never consume a slot, so a
-// saturated node can still drain the calls it has in flight.
+// DefaultDispatchLimit). Handlers run on long-lived dispatch workers,
+// started on demand and never more than the limit. When the limit
+// saturates, the node's receive pump blocks before dispatching the next
+// handler: inbound frames queue in the endpoint's receive buffer, then in
+// the transport, so overload turns into backpressure on senders (and
+// eventually rpc timeouts) instead of unbounded goroutine growth.
+// Responses are exempt — they complete pending calls directly and never
+// consume a slot, so a saturated node can still drain the calls it has in
+// flight.
 func WithDispatchLimit(n int) NodeOption {
 	return func(nd *Node) {
 		if n > 0 {
@@ -197,6 +199,12 @@ type Node struct {
 	trace    func(TraceDirection, *wire.Frame)
 	sessions *session.Table
 
+	// work hands a dispatch to an idle worker. It is unbuffered: a send
+	// succeeds only if a worker is parked on it (see dispatchHandler).
+	work chan dispatchItem
+	// workers counts started dispatch workers. Only the pump starts them.
+	workers int
+
 	// inboundObs, when set, is called with the source node of every
 	// inbound frame (see SetInboundObserver).
 	inboundObs atomic.Pointer[func(src wire.NodeID)]
@@ -205,6 +213,7 @@ type Node struct {
 	contexts map[wire.ContextID]*Context
 	nextCtx  wire.ContextID
 	closed   bool
+	onClose  []func()
 	done     chan struct{}
 }
 
@@ -214,6 +223,7 @@ func NewNode(ep netsim.Endpoint, opts ...NodeOption) *Node {
 	n := &Node{
 		ep:       ep,
 		sem:      make(chan struct{}, DefaultDispatchLimit),
+		work:     make(chan dispatchItem),
 		contexts: make(map[wire.ContextID]*Context),
 		nextCtx:  1,
 		done:     make(chan struct{}),
@@ -308,7 +318,30 @@ func (n *Node) Close() error {
 	for _, c := range ctxs {
 		c.failPending(ErrClosed)
 	}
+	n.mu.Lock()
+	hooks := n.onClose
+	n.onClose = nil
+	n.mu.Unlock()
+	for _, fn := range hooks {
+		fn()
+	}
 	return err
+}
+
+// OnClose registers fn to run once Close has stopped the node — after the
+// pump has drained and pending calls have failed — or runs it at once if
+// the node is already closing. Layers that keep side tables keyed by
+// something living on this node (a runtime's status registrations, say)
+// use it to drop their entries, so a closed node is not kept reachable.
+func (n *Node) OnClose(fn func()) {
+	n.mu.Lock()
+	if !n.closed {
+		n.onClose = append(n.onClose, fn)
+		n.mu.Unlock()
+		return
+	}
+	n.mu.Unlock()
+	fn()
 }
 
 func (n *Node) pump() {
@@ -333,7 +366,7 @@ func (n *Node) pump() {
 func (n *Node) route(f *wire.Frame) {
 	// Frame trains are unpacked here, below the object layer: each member
 	// is routed as if it had arrived alone, so member requests fan out
-	// onto the ordinary dispatch machinery (parallel handler goroutines)
+	// onto the ordinary dispatch machinery (parallel dispatch workers)
 	// and member responses complete the sharded pending table directly.
 	// Members alias the train's payload, which is safe because inbound
 	// frames are never pooled; a member that fails its own CRC is dropped
@@ -584,14 +617,7 @@ func (c *Context) dispatch(f *wire.Frame) {
 			shed)
 		return
 	}
-	select {
-	case c.node.sem <- struct{}{}:
-	case <-c.node.done:
-		return
-	}
-	// Plain method-value goroutine launch: unlike a closure this does not
-	// allocate a capture environment per dispatched frame.
-	go c.runHandler(h, f)
+	c.node.dispatchHandler(dispatchItem{c: c, h: h, f: f})
 }
 
 // replayCached answers a deduplicated retransmission from the session
@@ -650,6 +676,54 @@ func (c *Context) recordSession(req *wire.Frame, kind wire.Kind, payload []byte)
 	}
 	if sid, seq, ok := wire.PeekSession(req.Payload); ok {
 		tab.Commit(sid, seq, kind, kind == wire.KindError, payload)
+	}
+}
+
+// dispatchItem is one handler invocation waiting for a dispatch worker.
+type dispatchItem struct {
+	c *Context
+	h Handler
+	f *wire.Frame
+}
+
+// dispatchHandler runs the item on a dispatch worker once a slot of the
+// dispatch limit is free. It is called only from the pump. An idle
+// worker takes the item directly; if none is idle a new worker starts,
+// unless the limit's worth of workers already exists — then one of them
+// has just finished its handler and released its slot, and is on its
+// way back to wait for work, so the pump waits for it. Reusing workers
+// spares each request a goroutine launch and the stack regrowth a fresh
+// goroutine pays during decode.
+func (n *Node) dispatchHandler(it dispatchItem) {
+	select {
+	case n.sem <- struct{}{}:
+	case <-n.done:
+		return
+	}
+	select {
+	case n.work <- it:
+		return
+	default:
+	}
+	if n.workers < cap(n.sem) {
+		n.workers++
+		go n.worker(it)
+		return
+	}
+	n.work <- it
+}
+
+// worker runs handlers until the node's pump exits; a handler still
+// running at Close finishes first.
+func (n *Node) worker(it dispatchItem) {
+	for {
+		it.c.runHandler(it.h, it.f)
+		it = dispatchItem{} // an idle worker must not pin the last frame
+		select {
+		case it = <-n.work:
+		case <-n.done:
+			return
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -141,13 +142,16 @@ func (e *TCPEndpoint) acceptLoop() {
 }
 
 // readLoop pumps frames from one connection. accepted connections teach
-// us return routes.
+// us return routes. One bufio.Reader lives as long as the connection, so
+// a read syscall typically brings in several frames (or a header and its
+// body together) and each frame is copied once, into its own buffer.
 func (e *TCPEndpoint) readLoop(conn net.Conn, accepted bool) {
 	defer e.wg.Done()
 	defer conn.Close()
+	br := bufio.NewReader(conn)
 	var tc *tcpConn
 	for {
-		f, err := wire.ReadFrame(conn)
+		f, err := wire.ReadFrameBuffered(br)
 		if err != nil {
 			break
 		}
@@ -161,7 +165,7 @@ func (e *TCPEndpoint) readLoop(conn net.Conn, accepted bool) {
 			break
 		}
 		select {
-		case e.recv <- &f:
+		case e.recv <- f:
 		default:
 			// Queue overrun: drop, as a congested switch would.
 		}

@@ -46,12 +46,28 @@ var (
 	statusReg = map[*core.Runtime][]statusSource{}
 )
 
+// registerStatus lists s under rt until s unregisters (a replica proxy
+// closing) or rt's node closes (which ends primaries too). The registry
+// is package state keyed by runtime, so without the drop at node close it
+// would keep every closed runtime — and all it references — reachable.
 func registerStatus(rt *core.Runtime, s statusSource) {
 	statusMu.Lock()
-	defer statusMu.Unlock()
-	statusReg[rt] = append(statusReg[rt], s)
+	entries, known := statusReg[rt]
+	statusReg[rt] = append(entries, s)
+	statusMu.Unlock()
+	if !known {
+		rt.Kernel().Node().OnClose(func() { dropStatus(rt) })
+	}
 }
 
+func dropStatus(rt *core.Runtime) {
+	statusMu.Lock()
+	defer statusMu.Unlock()
+	delete(statusReg, rt)
+}
+
+// unregisterStatus removes s. The runtime's key stays until its node
+// closes, so the close hook is installed once per runtime.
 func unregisterStatus(rt *core.Runtime, s statusSource) {
 	statusMu.Lock()
 	defer statusMu.Unlock()
@@ -61,9 +77,6 @@ func unregisterStatus(rt *core.Runtime, s statusSource) {
 			statusReg[rt] = append(entries[:i], entries[i+1:]...)
 			break
 		}
-	}
-	if len(statusReg[rt]) == 0 {
-		delete(statusReg, rt)
 	}
 }
 

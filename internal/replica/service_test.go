@@ -97,3 +97,30 @@ func TestFactoryNameAppearsInStatus(t *testing.T) {
 		t.Fatalf("name = %q", f.name)
 	}
 }
+
+// TestStatusDroppedAtNodeClose closes a deployment: once proxies and
+// nodes are closed, the status registry must hold nothing for either
+// runtime — neither the replica proxy (which unregisters on Close) nor
+// the primary (which goes with its node) may keep a runtime reachable.
+func TestStatusDroppedAtNodeClose(t *testing.T) {
+	w := newRepWorld(t, 1)
+	w.proxy(t, 0)
+	if len(Status(w.server)) != 1 || len(Status(w.clients[0])) != 1 {
+		t.Fatalf("before close: server %+v, client %+v", Status(w.server), Status(w.clients[0]))
+	}
+	for _, rt := range []*core.Runtime{w.clients[0], w.server} {
+		rt.CloseProxies()
+		_ = rt.Kernel().Node().Close()
+	}
+	for _, rt := range []*core.Runtime{w.server, w.clients[0]} {
+		if groups := Status(rt); len(groups) != 0 {
+			t.Errorf("Status after close = %+v", groups)
+		}
+		statusMu.Lock()
+		_, held := statusReg[rt]
+		statusMu.Unlock()
+		if held {
+			t.Errorf("registry still holds runtime %s after its node closed", rt.Addr())
+		}
+	}
+}

@@ -157,7 +157,10 @@ func (s *Server) HandleFrame(ktx *kernel.Context, f *wire.Frame) {
 		s.mu.Lock()
 		cs := s.client(f.Src)
 		if el, ok := cs.cache[f.ReqID]; ok {
-			ent := el.Value.(*cacheEntry)
+			// Copy under the lock: remember recycles evicted entries in
+			// place, so the pointer may name another request's reply
+			// once s.mu is released.
+			ent := *el.Value.(*cacheEntry)
 			cs.order.MoveToFront(el)
 			s.mu.Unlock()
 			s.dupCached.Add(1)
@@ -201,8 +204,13 @@ func (s *Server) HandleFrame(ktx *kernel.Context, f *wire.Frame) {
 	_ = ktx.Respond(f, kind, reply)
 }
 
+// remember caches a reply. A full per-client cache recycles its least
+// recently used element and entry for the new request instead of
+// allocating fresh ones, so a steady stream of calls produces no
+// reply-cache garbage. Entries are therefore mutable: readers copy one
+// under s.mu before using it.
 func (s *Server) remember(from wire.Addr, reqID uint64, kind wire.Kind, reply, errPayload []byte) {
-	ent := &cacheEntry{reqID: reqID, kind: kind, reply: reply}
+	ent := cacheEntry{reqID: reqID, kind: kind, reply: reply}
 	if errPayload != nil {
 		ent.isErr = true
 		ent.reply = errPayload
@@ -212,19 +220,21 @@ func (s *Server) remember(from wire.Addr, reqID uint64, kind wire.Kind, reply, e
 	cs := s.client(from)
 	delete(cs.inflight, reqID)
 	if el, ok := cs.cache[reqID]; ok {
-		el.Value = ent
+		*el.Value.(*cacheEntry) = ent
 		cs.order.MoveToFront(el)
 		return
 	}
-	cs.cache[reqID] = cs.order.PushFront(ent)
-	for len(cs.cache) > s.cacheSize {
-		oldest := cs.order.Back()
-		if oldest == nil {
-			break
-		}
-		cs.order.Remove(oldest)
-		delete(cs.cache, oldest.Value.(*cacheEntry).reqID)
+	if len(cs.cache) >= s.cacheSize {
+		el := cs.order.Back()
+		old := el.Value.(*cacheEntry)
+		delete(cs.cache, old.reqID)
+		*old = ent
+		cs.order.MoveToFront(el)
+		cs.cache[reqID] = el
+		return
 	}
+	fresh := ent // only a growing cache allocates an entry
+	cs.cache[reqID] = cs.order.PushFront(&fresh)
 }
 
 // cacheLen reports one client's cached-entry count (tests).

@@ -21,15 +21,29 @@ var (
 	statusReg = map[*core.Runtime][]*Router{}
 )
 
+// registerStatus lists r under rt until rt's node closes. The registry is
+// package state keyed by runtime, so without that drop it would keep every
+// closed runtime — and all it references — reachable.
 func registerStatus(rt *core.Runtime, r *Router) {
 	statusMu.Lock()
-	defer statusMu.Unlock()
-	for _, e := range statusReg[rt] {
+	entries, known := statusReg[rt]
+	for _, e := range entries {
 		if e == r {
+			statusMu.Unlock()
 			return
 		}
 	}
-	statusReg[rt] = append(statusReg[rt], r)
+	statusReg[rt] = append(entries, r)
+	statusMu.Unlock()
+	if !known {
+		rt.Kernel().Node().OnClose(func() { dropStatus(rt) })
+	}
+}
+
+func dropStatus(rt *core.Runtime) {
+	statusMu.Lock()
+	defer statusMu.Unlock()
+	delete(statusReg, rt)
 }
 
 // Routers reports every shard router exported from this runtime.

@@ -476,3 +476,27 @@ func TestShardFactoryOptionsAndProxyLifecycle(t *testing.T) {
 		t.Fatalf("KeyError.Error() = %q", msg)
 	}
 }
+
+// TestRoutersDroppedAtNodeClose closes a deployment: once proxies and
+// nodes are closed, the status registry must no longer hold the router's
+// runtime, so a closed deployment is not kept reachable.
+func TestRoutersDroppedAtNodeClose(t *testing.T) {
+	w := newShardWorld(t, 2, 1)
+	w.proxy(t, 0)
+	if got := Routers(w.routerRT); len(got) != 1 {
+		t.Fatalf("before close: %d routers", len(got))
+	}
+	for _, rt := range append([]*core.Runtime{w.routerRT}, w.clients...) {
+		rt.CloseProxies()
+		_ = rt.Kernel().Node().Close()
+	}
+	if got := Routers(w.routerRT); len(got) != 0 {
+		t.Errorf("Routers after close = %d", len(got))
+	}
+	statusMu.Lock()
+	_, held := statusReg[w.routerRT]
+	statusMu.Unlock()
+	if held {
+		t.Error("registry still holds the router's runtime after its node closed")
+	}
+}

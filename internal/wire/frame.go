@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -203,18 +204,9 @@ func (f *Frame) Encode(dst []byte) ([]byte, error) {
 // Decode parses one frame from src, returning the frame and bytes consumed.
 // The returned frame's Payload aliases src.
 func Decode(src []byte) (Frame, int, error) {
-	if len(src) < headerLen+trailerLen {
-		return Frame{}, 0, ErrShortBuffer
-	}
-	if binary.BigEndian.Uint16(src[0:]) != frameMagic {
-		return Frame{}, 0, ErrBadMagic
-	}
-	if src[2] != frameVersion {
-		return Frame{}, 0, ErrBadVersion
-	}
-	plen := int(binary.BigEndian.Uint32(src[38:]))
-	if plen > MaxPayload {
-		return Frame{}, 0, ErrTooLarge
+	plen, err := checkHeader(src)
+	if err != nil {
+		return Frame{}, 0, err
 	}
 	total := headerLen + plen + trailerLen
 	if len(src) < total {
@@ -246,6 +238,28 @@ func Decode(src []byte) (Frame, int, error) {
 	return f, total, nil
 }
 
+// checkHeader validates the fixed header at the start of src — there
+// must be room for at least an empty frame, then magic, version and the
+// payload bound — and returns the declared payload length. Decode and
+// ReadFrameBuffered share it, so a stream and a buffer reject the same
+// bytes with the same error.
+func checkHeader(src []byte) (int, error) {
+	if len(src) < headerLen+trailerLen {
+		return 0, ErrShortBuffer
+	}
+	if binary.BigEndian.Uint16(src[0:]) != frameMagic {
+		return 0, ErrBadMagic
+	}
+	if src[2] != frameVersion {
+		return 0, ErrBadVersion
+	}
+	plen := int(binary.BigEndian.Uint32(src[38:]))
+	if plen > MaxPayload {
+		return 0, ErrTooLarge
+	}
+	return plen, nil
+}
+
 // WriteFrame encodes f and writes it to w in one call.
 func WriteFrame(w io.Writer, f *Frame) error {
 	buf, err := f.Encode(make([]byte, 0, f.EncodedLen()))
@@ -256,26 +270,39 @@ func WriteFrame(w io.Writer, f *Frame) error {
 	return err
 }
 
-// ReadFrame reads exactly one frame from r. It allocates the payload, so
-// the result does not alias any shared buffer.
-func ReadFrame(r io.Reader) (Frame, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Frame{}, err
+// ReadFrameBuffered reads exactly one frame from br, the reader a
+// connection keeps for its whole life. It peeks the header, then reads
+// header, payload and trailer into one freshly allocated buffer, which
+// Decode validates exactly as it validates any other buffer (magic,
+// version, size, CRC). The returned frame's Payload aliases that buffer
+// alone — never br's internal buffer, which the next read overwrites —
+// so the frame may be retained indefinitely. A frame costs two
+// allocations (the buffer and the Frame) and, while frames are small, no
+// read syscall of its own beyond the one that filled br.
+//
+// A clean end of stream before the first byte returns io.EOF; a stream
+// that ends inside a frame returns io.ErrUnexpectedEOF.
+func ReadFrameBuffered(br *bufio.Reader) (*Frame, error) {
+	hdr, err := br.Peek(headerLen + trailerLen)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
 	}
-	plen := int(binary.BigEndian.Uint32(hdr[38:]))
-	if plen > MaxPayload {
-		return Frame{}, ErrTooLarge
+	plen, err := checkHeader(hdr)
+	if err != nil {
+		return nil, err
 	}
-	rest := make([]byte, plen+trailerLen)
-	if _, err := io.ReadFull(r, rest); err != nil {
-		return Frame{}, err
+	buf := make([]byte, headerLen+plen+trailerLen)
+	if _, err := io.ReadFull(br, buf); err != nil {
+		return nil, err
 	}
-	full := make([]byte, 0, headerLen+plen+trailerLen)
-	full = append(full, hdr[:]...)
-	full = append(full, rest...)
-	f, _, err := Decode(full)
-	return f, err
+	f, _, err := Decode(buf)
+	if err != nil {
+		return nil, err
+	}
+	return &f, nil
 }
 
 // Clone returns a deep copy of the frame (payload included), safe to retain

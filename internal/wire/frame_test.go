@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"io"
 	"testing"
@@ -134,8 +135,9 @@ func TestFrameStreamReadWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	br := bufio.NewReader(&buf)
 	for i := range frames {
-		got, err := ReadFrame(&buf)
+		got, err := ReadFrameBuffered(br)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -144,8 +146,8 @@ func TestFrameStreamReadWrite(t *testing.T) {
 			t.Errorf("frame %d mismatch", i)
 		}
 	}
-	if _, err := ReadFrame(&buf); err != io.EOF {
-		t.Errorf("ReadFrame on empty stream = %v, want io.EOF", err)
+	if _, err := ReadFrameBuffered(br); err != io.EOF {
+		t.Errorf("ReadFrameBuffered on empty stream = %v, want io.EOF", err)
 	}
 }
 

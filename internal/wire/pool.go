@@ -9,7 +9,11 @@
 //   - Inbound frames are never pooled: the kernel's Handler contract
 //     gives the receiving handler ownership for as long as it likes, and
 //     layers above (rpc reply cache, RemoteError) retain response
-//     payloads past the call.
+//     payloads past the call. On TCP each inbound frame is read by
+//     ReadFrameBuffered into one buffer of its own (header, payload and
+//     trailer together); its Payload aliases that buffer and never the
+//     connection's bufio.Reader, whose bytes the next read overwrites.
+//     Train members alias their train's buffer the same way.
 //   - Pending-response channels are never pooled: a late reply delivered
 //     into a recycled channel that a different call now owns would
 //     mis-correlate request and response. Channels stay one-per-call.
