@@ -4,7 +4,7 @@ GO ?= go
 
 # make cover fails if any of these packages drop below this (percent).
 COVER_MIN ?= 80
-COVER_PKGS ?= ./internal/obs ./internal/health ./internal/replica ./internal/group ./internal/codec ./internal/shard ./internal/overload ./internal/netsim ./internal/session
+COVER_PKGS ?= ./internal/obs ./internal/health ./internal/replica ./internal/group ./internal/codec ./internal/shard ./internal/overload ./internal/netsim ./internal/session ./internal/core
 
 # Seeds make chaos replays; override to explore: make chaos CHAOS_SEEDS="7 8 9"
 CHAOS_SEEDS ?= 1 2 3
@@ -26,11 +26,12 @@ FUZZ_PKGS ?= ./internal/wire ./internal/obs
 fuzz-short:
 	$(GO) test -count=1 -run '^Fuzz' $(FUZZ_PKGS)
 
-# Fast-path gate: the allocation-budget tests (bypass must be 0 allocs/op,
-# stub and cache at or under their enforced ceilings) plus a one-iteration
-# proxybench smoke run. Cheap enough to ride in `make all`.
+# Fast-path gate: the allocation-budget tests (bypass and plain-data
+# lowering must be 0 allocs/op; stub, cache and sharded mget at or under
+# their enforced ceilings) plus a one-iteration proxybench smoke run.
+# Cheap enough to ride in `make all`.
 bench-short:
-	$(GO) test -count=1 -run 'TestAllocBudget' .
+	$(GO) test -count=1 -run 'TestAllocBudget' . ./internal/core
 	$(GO) run ./cmd/proxybench -only E1 -ops 25
 
 # Regression gate: measures the fast-path rows and fails if any ns/op

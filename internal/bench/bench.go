@@ -119,7 +119,8 @@ func NewKV() *KV { return &KV{m: make(map[string]int64)} }
 func KVReads() []string { return []string{"get", "sum", "noop"} }
 
 // KVShardSpec declares the KV keyspace for sharding: get/put/incr route
-// by their key argument, mget/mput fan out one sub-invocation per key.
+// by their key argument, mget/mput send one get/put batch per owning
+// member.
 func KVShardSpec() shard.Spec {
 	return shard.Spec{
 		SingleKey: []string{"get", "put", "incr"},

@@ -625,15 +625,16 @@ func (rt *Runtime) decoder() *codec.Decoder { return rt.dec }
 
 // encodeOutbound lowers proxies and exportable services in an argument or
 // result vector to wire Refs. It does not mutate the input; when nothing
-// in the vector needs lowering — the common case for plain-data calls —
-// it returns the input slice unchanged, allocating nothing.
+// in the vector needs lowering — the common case for plain-data calls,
+// nested lists and maps included — it returns the input slice unchanged,
+// allocating nothing.
 func (rt *Runtime) encodeOutbound(vals []any) ([]any, error) {
 	if len(vals) == 0 {
 		return vals, nil
 	}
 	plain := true
 	for _, v := range vals {
-		if needsLowering(v) {
+		if needsLowering(v, 0) {
 			plain = false
 			break
 		}
@@ -652,18 +653,42 @@ func (rt *Runtime) encodeOutbound(vals []any) ([]any, error) {
 	return out, nil
 }
 
-// needsLowering reports whether lowerValue could transform v (directly
-// or inside a container). The shapes lowerValue passes through untouched
-// are exactly the ones this returns false for.
-func needsLowering(v any) bool {
-	switch v.(type) {
-	case Proxy, Exportable, Service, []any, map[string]any:
+// needsLowering reports whether lowerValue(v, depth) would transform v
+// or fail on it: v is, or holds at any depth, a proxy or service, or its
+// nesting runs past codec.MaxDepth. Plain data — scalars, and lists and
+// maps of plain data — reports false and passes through uncopied.
+func needsLowering(v any, depth int) bool {
+	switch x := v.(type) {
+	case Proxy, Exportable, Service:
 		return true
+	case []any:
+		if len(x) > 0 && depth >= codec.MaxDepth {
+			return true // an element sits past MaxDepth: lowerValue reports it
+		}
+		for _, e := range x {
+			if needsLowering(e, depth+1) {
+				return true
+			}
+		}
+		return false
+	case map[string]any:
+		if len(x) > 0 && depth >= codec.MaxDepth {
+			return true
+		}
+		for _, e := range x {
+			if needsLowering(e, depth+1) {
+				return true
+			}
+		}
+		return false
 	default:
 		return false
 	}
 }
 
+// lowerValue converts v for the wire. Containers are copied only when
+// something inside them needs lowering; a plain list or map is returned
+// as is.
 func (rt *Runtime) lowerValue(v any, depth int) (any, error) {
 	if depth > codec.MaxDepth {
 		return nil, codec.ErrTooDeep
@@ -685,6 +710,9 @@ func (rt *Runtime) lowerValue(v any, depth int) (any, error) {
 		}
 		return nil, fmt.Errorf("%w (pass a Proxy, a Ref, or implement Exportable)", ErrNotExported)
 	case []any:
+		if !needsLowering(x, depth) {
+			return x, nil
+		}
 		out := make([]any, len(x))
 		for i, e := range x {
 			le, err := rt.lowerValue(e, depth+1)
@@ -695,6 +723,9 @@ func (rt *Runtime) lowerValue(v any, depth int) (any, error) {
 		}
 		return out, nil
 	case map[string]any:
+		if !needsLowering(x, depth) {
+			return x, nil
+		}
 		out := make(map[string]any, len(x))
 		for k, e := range x {
 			le, err := rt.lowerValue(e, depth+1)

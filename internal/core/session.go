@@ -40,10 +40,15 @@ type sessID struct{ sid, seq uint64 }
 // identity; AppendCtxHeaders encodes it as the 0xF8 session header.
 // Layers that forward one logical invocation through an inner call path
 // (the replica proxy's write path, the shard guard) use it to keep the
-// identity attached.
+// identity attached. A zero sid clears an identity ctx carries: a layer
+// that splits one invocation into several (the shard proxy's multi-key
+// path) must not present one identity for different sub-invocations.
 func ContextWithSession(ctx context.Context, sid, seq uint64) context.Context {
 	if sid == 0 {
-		return ctx
+		if s, _ := SessionFromContext(ctx); s == 0 {
+			return ctx
+		}
+		return context.WithValue(ctx, sessCtxKey{}, sessID{})
 	}
 	return context.WithValue(ctx, sessCtxKey{}, sessID{sid, seq})
 }

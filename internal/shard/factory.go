@@ -24,8 +24,8 @@ func WithVirtualNodes(n int) FactoryOption {
 	}
 }
 
-// WithScatterLimit bounds how many per-key sub-invocations a multi-key
-// operation has in flight at once (default 8).
+// WithScatterLimit bounds how many sub-invocations — per-owner batches —
+// a multi-key operation has in flight at once (default 8).
 func WithScatterLimit(n int) FactoryOption {
 	return func(f *Factory) {
 		if n > 0 {

@@ -55,7 +55,8 @@ var ErrNotStore = errors.New("shard: service does not implement shard.Store")
 //   - epoch 0 (no table yet): every invocation passes — bootstrap load
 //     before the router commits the first table;
 //   - single-key methods for keys this member does not own under the
-//     current ring are refused with core.CodeMisroute;
+//     current ring are refused with core.CodeMisroute (in a batch, that
+//     key's slot carries the refusal);
 //   - keys frozen by an in-flight rebalance refuse writes and reads with
 //     core.CodeUnavailable until the new table commits;
 //   - reserved shard.* methods carrying an epoch at or below the
@@ -69,11 +70,13 @@ type Guard struct {
 	inner  Store
 	single map[string]bool
 
-	// tab dedups session-stamped single-key writes, with entries tagged
+	// tab dedups session-stamped invocations. Single-key entries are tagged
 	// by key so a rebalance carries them to the key's new owner (the
 	// shard.pull reply ships the blob; shard.push imports it). Ownership
 	// is checked BEFORE the dedup consult, so an entry for a key this
-	// member no longer owns can never answer a misrouted retry.
+	// member no longer owns can never answer a misrouted retry. Batch
+	// entries are untagged and answer only a retransmitted batch (see
+	// invokeBatch).
 	tab *session.Table
 
 	mu     sync.Mutex
@@ -110,6 +113,14 @@ func (g *Guard) Invoke(ctx context.Context, method string, args []any) ([]any, e
 		return g.invokeReserved(method, args)
 	}
 	if g.single[method] {
+		if len(args) > 0 {
+			if elems, ok := args[0].([]any); ok {
+				if len(args) != 1 {
+					return nil, core.BadArgs(method, "shard: a batch takes one argument, its element list")
+				}
+				return g.invokeBatch(ctx, method, elems)
+			}
+		}
 		key, err := keyOf(method, args)
 		if err != nil {
 			return nil, err
@@ -124,29 +135,100 @@ func (g *Guard) Invoke(ctx context.Context, method string, args []any) ([]any, e
 	return g.inner.Invoke(ctx, method, args)
 }
 
-// invokeDeduped runs one session-stamped single-key invocation through
-// the guard's exactly-once table: a replay is answered from the cached
-// reply (reconstructed via codec.Marshal, so no runtime machinery is
-// needed here), an expired identity is refused loudly, and a fresh one
-// executes and commits key-tagged so a rebalance hands the entry to the
-// key's next owner.
-func (g *Guard) invokeDeduped(ctx context.Context, sid, seq uint64, key, method string, args []any) ([]any, error) {
+// invokeBatch serves one owner's share of a multi-key operation: the
+// mapped single-key method with one element per key, each a bare key or
+// a key vector (see Spec). Ownership and freezing are checked per
+// element, and each owned element runs through the store as its own
+// single-key invocation. The reply is one result vector aligned with the
+// elements; a key the table refuses (misroute, frozen) or the store
+// fails carries its lowered KeyError in its slot, so the caller re-routes
+// only those keys. A malformed element refuses the whole batch.
+//
+// A session-stamped batch is deduplicated as one unit: one Begin and one
+// Commit over the whole result vector. Its identity was minted for this
+// batch alone, so the entry is not key-tagged and stays here across a
+// rebalance — a retransmission of the batch can only come back to the
+// member that executed it.
+func (g *Guard) invokeBatch(ctx context.Context, method string, elems []any) ([]any, error) {
+	for _, e := range elems {
+		if _, _, err := splitElem(method, e); err != nil {
+			return nil, err
+		}
+	}
+	sid, seq := core.SessionFromContext(ctx)
+	if sid != 0 {
+		if results, done, err := g.begin(method, sid, seq); done {
+			return results, err
+		}
+	}
+	// One array holds the result list and, in its last slot, the reply
+	// vector that carries it (+1.8 allocs/op on the shard-scatter
+	// benchmark workload as two; see route.go).
+	buf := make([]any, len(elems)+1)
+	vals, results := buf[:len(elems):len(elems)], buf[len(elems):]
+	for j, e := range elems {
+		key, args, _ := splitElem(method, e)
+		if args == nil {
+			args = elems[j : j+1 : j+1] // a bare key is its own argument vector
+		}
+		if err := g.checkOwnership(method, key); err != nil {
+			vals[j] = (&KeyError{Key: key, Err: err}).lower()
+			continue
+		}
+		res, err := g.inner.Invoke(ctx, method, args)
+		switch {
+		case err != nil:
+			vals[j] = (&KeyError{Key: key, Err: err}).lower()
+		case len(res) > 0:
+			vals[j] = res[0]
+		}
+	}
+	results[0] = vals
+	if sid != 0 {
+		// The generic encoding, not Marshal: Marshal would reflect over a
+		// refused slot's *codec.Struct as a Go struct, and the replay would
+		// no longer read as a KeyError.
+		blob, err := codec.Append(nil, results)
+		if err != nil {
+			g.tab.Abort(sid, seq)
+			return results, nil
+		}
+		g.tab.Commit(sid, seq, wire.KindReply, false, blob)
+	}
+	return results, nil
+}
+
+// begin presents a stamped invocation to the guard's exactly-once table.
+// done reports that the verdict answers the invocation — a replay from
+// the cached reply (reconstructed via codec.Unmarshal, so no runtime
+// machinery is needed here) or a refusal — and that nothing may execute.
+func (g *Guard) begin(method string, sid, seq uint64) (results []any, done bool, err error) {
 	switch verdict, ent := g.tab.Begin(sid, seq); verdict {
 	case session.Replay:
 		if ent.IsErr {
-			return nil, core.DecodeInvokeError(ent.Payload)
+			return nil, true, core.DecodeInvokeError(ent.Payload)
 		}
-		var results []any
 		if err := codec.Unmarshal(ent.Payload, &results); err != nil {
-			return nil, core.Errorf(core.CodeInternal, method, "shard: replay decode: %s", err)
+			return nil, true, core.Errorf(core.CodeInternal, method, "shard: replay decode: %s", err)
 		}
-		return results, nil
+		return results, true, nil
 	case session.InFlight:
 		// The guard cannot block on the original execution; refuse
 		// retryably and let the client re-present the identity.
-		return nil, core.Errorf(core.CodeUnavailable, method, "shard: duplicate of an in-flight invocation")
+		return nil, true, core.Errorf(core.CodeUnavailable, method, "shard: duplicate of an in-flight invocation")
 	case session.Expired:
-		return nil, core.Errorf(core.CodeSessionExpired, method, "session expired: retry outlived the dedup window; outcome unknown")
+		return nil, true, core.Errorf(core.CodeSessionExpired, method, "session expired: retry outlived the dedup window; outcome unknown")
+	}
+	return nil, false, nil
+}
+
+// invokeDeduped runs one session-stamped single-key invocation through
+// the guard's exactly-once table: a replay or refusal is answered by
+// begin, and a fresh identity executes and commits key-tagged so a
+// rebalance hands the entry to the key's next owner.
+func (g *Guard) invokeDeduped(ctx context.Context, sid, seq uint64, key, method string, args []any) ([]any, error) {
+	if results, done, err := g.begin(method, sid, seq); done {
+		return results, err
 	}
 	results, err := g.inner.Invoke(ctx, method, args)
 	if err != nil {

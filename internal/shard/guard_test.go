@@ -16,11 +16,12 @@ import (
 // kvStore is the test keyspace: a string→int64 map implementing Store
 // and the replica state-machine surface.
 type kvStore struct {
-	mu sync.Mutex
-	m  map[string]int64
+	mu   sync.Mutex
+	m    map[string]int64
+	gets map[string]int // get invocations per key
 }
 
-func newKVStore() *kvStore { return &kvStore{m: make(map[string]int64)} }
+func newKVStore() *kvStore { return &kvStore{m: make(map[string]int64), gets: make(map[string]int)} }
 
 func (s *kvStore) Invoke(_ context.Context, method string, args []any) ([]any, error) {
 	s.mu.Lock()
@@ -28,6 +29,7 @@ func (s *kvStore) Invoke(_ context.Context, method string, args []any) ([]any, e
 	switch method {
 	case "get":
 		k, _ := args[0].(string)
+		s.gets[k]++
 		return []any{s.m[k]}, nil
 	case "put":
 		k, _ := args[0].(string)
@@ -114,6 +116,13 @@ func (s *kvStore) Restore(data []byte) error {
 	defer s.mu.Unlock()
 	s.m = m
 	return nil
+}
+
+// getCount reports how many times get ran for k.
+func (s *kvStore) getCount(k string) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.gets[k]
 }
 
 func (s *kvStore) get(k string) (int64, bool) {
@@ -359,4 +368,178 @@ func TestGuardSnapshotRestoreCarriesFencingState(t *testing.T) {
 	// Old-epoch protocol steps stay fenced after restore.
 	_, err = g2.Invoke(ctx, methodKeys, []any{int64(4)})
 	invokeCode(t, err, core.CodeFenced)
+}
+
+// batchSlot reads slot j of a batch reply, failing on a malformed reply.
+func batchSlot(t *testing.T, res []any, j int) any {
+	t.Helper()
+	if len(res) != 1 {
+		t.Fatalf("batch reply has %d results, want 1", len(res))
+	}
+	vals, ok := res[0].([]any)
+	if !ok || j >= len(vals) {
+		t.Fatalf("batch reply = %v, want a result list", res)
+	}
+	return vals[j]
+}
+
+func keyErrorCode(t *testing.T, v any, key string, want core.Code) {
+	t.Helper()
+	ke, ok := AsKeyError(v)
+	if !ok {
+		t.Fatalf("slot = %v, want a KeyError", v)
+	}
+	if ke.Key != key {
+		t.Errorf("KeyError names %q, want %q", ke.Key, key)
+	}
+	var ie *core.InvokeError
+	if !errors.As(ke, &ie) || ie.Code != want {
+		t.Errorf("KeyError = %v, want code %v", ke, want)
+	}
+}
+
+// TestGuardBatchChecksEachElement: a batch is checked key by key — an
+// owned key runs, a misrouted or frozen one gets its refusal in its own
+// slot, and the batch as a whole succeeds.
+func TestGuardBatchChecksEachElement(t *testing.T) {
+	ctx := context.Background()
+	st := newKVStore()
+	g := NewGuard("m0", testSpec, st)
+	commitTable(t, g, 1, "m0", "m1")
+	ring := NewRing([]string{"m0", "m1"}, 16)
+	mine, theirs := ownedKey(t, ring, "m0"), notOwnedKey(t, ring, "m0")
+	var frozen string
+	for i := 0; frozen == ""; i++ {
+		if k := fmt.Sprintf("fz-%d", i); ring.Owner(k) == "m0" {
+			frozen = k
+		}
+	}
+	if _, err := g.Invoke(ctx, methodFreeze, []any{int64(2), []any{frozen}}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := g.Invoke(ctx, "put", []any{[]any{
+		[]any{mine, int64(7)}, []any{theirs, int64(8)}, []any{frozen, int64(9)},
+	}})
+	if err != nil {
+		t.Fatalf("batch: %v", err)
+	}
+	if v := batchSlot(t, res, 0); v != int64(7) {
+		t.Errorf("owned slot = %v, want 7", v)
+	}
+	keyErrorCode(t, batchSlot(t, res, 1), theirs, core.CodeMisroute)
+	keyErrorCode(t, batchSlot(t, res, 2), frozen, core.CodeUnavailable)
+	if v, ok := st.get(mine); !ok || v != 7 {
+		t.Errorf("owned key = %v, %v; want 7", v, ok)
+	}
+	for _, k := range []string{theirs, frozen} {
+		if _, ok := st.get(k); ok {
+			t.Errorf("refused key %q reached the store", k)
+		}
+	}
+	// Bare keys read; a store failure stays in its slot.
+	res, err = g.Invoke(ctx, "fail", []any{[]any{mine, "bad-" + mine}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := batchSlot(t, res, 0); v != int64(7) {
+		t.Errorf("bare-key slot = %v, want 7", v)
+	}
+	keyErrorCode(t, batchSlot(t, res, 1), "bad-"+mine, core.CodeApp)
+}
+
+// TestGuardBatchRefusesMalformed: a batch whose elements are not keys or
+// key vectors, or that carries more than its element list, is refused
+// whole with CodeBadArgs before any element runs.
+func TestGuardBatchRefusesMalformed(t *testing.T) {
+	ctx := context.Background()
+	st := newKVStore()
+	g := NewGuard("m0", testSpec, st)
+	for name, args := range map[string][]any{
+		"non-key element":    {[]any{"a", int64(3)}},
+		"empty key vector":   {[]any{"a", []any{}}},
+		"non-string key":     {[]any{[]any{int64(1), int64(2)}}},
+		"trailing arguments": {[]any{"a"}, "b"},
+	} {
+		_, err := g.Invoke(ctx, "get", args)
+		if err == nil {
+			t.Fatalf("%s: batch accepted", name)
+		}
+		invokeCode(t, err, core.CodeBadArgs)
+	}
+	if n := st.getCount("a"); n != 0 {
+		t.Errorf("a malformed batch ran %d elements", n)
+	}
+}
+
+// TestGuardBatchDedupsAsOneUnit: a stamped batch takes one dedup entry
+// for its whole result vector; its retransmission is answered from that
+// entry without running any element again.
+func TestGuardBatchDedupsAsOneUnit(t *testing.T) {
+	st := newKVStore()
+	g := NewGuard("m0", testSpec, st)
+	ctx := core.ContextWithSession(context.Background(), 0xBA7C, 1)
+	res, err := g.Invoke(ctx, "put", []any{[]any{[]any{"x", int64(7)}, []any{"y", int64(9)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if batchSlot(t, res, 0) != int64(7) || batchSlot(t, res, 1) != int64(9) {
+		t.Fatalf("batch = %v, want [7 9]", res)
+	}
+	// The same identity again — even with other values — is a
+	// retransmission: the cached reply answers and the store is untouched.
+	res, err = g.Invoke(ctx, "put", []any{[]any{[]any{"x", int64(1)}, []any{"y", int64(2)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if batchSlot(t, res, 0) != int64(7) || batchSlot(t, res, 1) != int64(9) {
+		t.Fatalf("replayed batch = %v, want the cached [7 9]", res)
+	}
+	if x, _ := st.get("x"); x != 7 {
+		t.Errorf("x = %d after replay, want 7", x)
+	}
+	if st := g.tab.Stats(); st.Hits != 1 {
+		t.Errorf("dedup hits = %d, want 1", st.Hits)
+	}
+}
+
+// TestGuardBatchReplayKeepsKeyErrors: a replayed batch answers from the
+// cached reply, and the slots the table refused still read as KeyErrors
+// with their codes, so the caller re-routes them instead of taking the
+// refusal for a result.
+func TestGuardBatchReplayKeepsKeyErrors(t *testing.T) {
+	st := newKVStore()
+	g := NewGuard("m0", testSpec, st)
+	commitTable(t, g, 1, "m0", "m1")
+	ring := NewRing([]string{"m0", "m1"}, 16)
+	mine, theirs := ownedKey(t, ring, "m0"), notOwnedKey(t, ring, "m0")
+	var frozen string
+	for i := 0; frozen == ""; i++ {
+		if k := fmt.Sprintf("fz-%d", i); ring.Owner(k) == "m0" && k != mine {
+			frozen = k
+		}
+	}
+	if _, err := g.Invoke(context.Background(), methodFreeze, []any{int64(2), []any{frozen}}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := core.ContextWithSession(context.Background(), 0xBA7D, 1)
+	batch := []any{[]any{[]any{mine, int64(7)}, []any{theirs, int64(8)}, []any{frozen, int64(9)}}}
+	for round := 0; round < 2; round++ {
+		res, err := g.Invoke(ctx, "put", batch)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if v := batchSlot(t, res, 0); v != int64(7) {
+			t.Errorf("round %d: owned slot = %v, want 7", round, v)
+		}
+		keyErrorCode(t, batchSlot(t, res, 1), theirs, core.CodeMisroute)
+		keyErrorCode(t, batchSlot(t, res, 2), frozen, core.CodeUnavailable)
+	}
+	if st := g.tab.Stats(); st.Hits != 1 {
+		t.Errorf("dedup hits = %d, want 1 (the second round is a replay)", st.Hits)
+	}
+	for _, k := range []string{theirs, frozen} {
+		if _, ok := st.get(k); ok {
+			t.Errorf("refused key %q reached the store", k)
+		}
+	}
 }

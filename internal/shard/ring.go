@@ -1,8 +1,9 @@
 // Package shard implements the partitioned smart proxy: a service's
 // keyspace is consistent-hashed across member shards (each an ordinary
 // export — plain or replica-backed), and the proxy routes every
-// single-key invocation to the owning shard while fanning multi-key
-// operations out in parallel (scatter-gather). The client cannot tell a
+// single-key invocation to the owning shard while splitting multi-key
+// operations into one batch per owning shard, sent in parallel
+// (scatter-gather). The client cannot tell a
 // sharded proxy from a stub — identical Invoke interface — which is the
 // paper's point: partitioning is the service's private distribution
 // strategy, shipped inside its proxy.
@@ -21,6 +22,16 @@
 // by its client against the new owner. Guards reached through a replica
 // group get all of this as ordered, WAL-logged writes, which is what
 // makes handoff survive a shard-owner crash mid-rebalance.
+//
+// Exactly-once (core.WithSessions) covers each sub-invocation, not a
+// multi-key call as a whole. A single-key invocation forwards the
+// caller's (sid, seq) identity to its owner unchanged, so a retry is
+// recognized there, or at the key's next owner after a handoff. A
+// multi-key invocation drops the caller's identity: each per-owner batch
+// gets a fresh one from the member's proxy, and its Guard dedups the
+// batch as one unit. A multi-key write retried as a whole is therefore a
+// new invocation; only each batch's own retransmissions are
+// deduplicated.
 package shard
 
 import (

@@ -467,50 +467,14 @@ func (r *Router) Invoke(ctx context.Context, method string, args []any) ([]any, 
 	if err != nil {
 		return nil, err
 	}
-	return r.routeKey(ctx, method, key, args)
-}
-
-// routeKey routes one single-key invocation from the authoritative
-// table. Misroutes and freezes can still happen concurrently with a
-// rebalance; both re-read the (possibly advanced) table and retry.
-func (r *Router) routeKey(ctx context.Context, method, key string, args []any) ([]any, error) {
 	ctx, finish := r.rt.Tracer().StartChild(ctx, "shard:route", r.rt.Where())
-	res, err := r.routeKeyLocked(ctx, method, key, args)
+	res, err := routeKey(ctx, r, method, key, args)
 	finish(err)
 	return res, err
 }
 
-func (r *Router) routeKeyLocked(ctx context.Context, method, key string, args []any) ([]any, error) {
-	var lastErr error
-	for attempt := 0; attempt < routeAttempts; attempt++ {
-		if attempt > 0 {
-			if err := routeBackoff(ctx, attempt); err != nil {
-				return nil, err
-			}
-		}
-		_, ring, members := r.table()
-		if ring == nil || len(members) == 0 {
-			return nil, ErrNoMembers
-		}
-		owner := ring.Owner(key)
-		ref, ok := members[owner]
-		if !ok {
-			lastErr = fmt.Errorf("%w: owner %q", ErrUnknownMember, owner)
-			continue
-		}
-		res, err := r.invokeMember(ctx, owner, ref, method, args...)
-		if err == nil || !retryableRoute(err) {
-			return res, err
-		}
-		lastErr = err
-	}
-	return nil, lastErr
-}
-
 func (r *Router) scatterFacade(ctx context.Context, method, single string, args []any) ([]any, error) {
-	out, err := scatterGather(ctx, method, args, r.f.scatterLimit, r.ownerScore, func(ctx context.Context, key string, subArgs []any) ([]any, error) {
-		return r.routeKey(ctx, single, key, subArgs)
-	})
+	out, err := scatter(ctx, r, method, single, args, r.f.scatterLimit)
 	if err != nil {
 		return nil, err
 	}
@@ -524,19 +488,34 @@ func (r *Router) scatterFacade(ctx context.Context, method, single string, args 
 	return out, nil
 }
 
-// ownerScore ranks a key for scatter launch order by its owner node's
-// gray-failure score.
-func (r *Router) ownerScore(key string) float64 {
+// routeTable implements owners: the committed table. The router is its
+// authority, so there is nothing to refetch; a misroute or freeze only
+// means a rebalance is committing, and the next read sees its table.
+func (r *Router) routeTable(context.Context, bool) (*Ring, map[string]codec.Ref, error) {
 	_, ring, members := r.table()
-	if ring == nil {
-		return 0
+	if ring == nil || len(members) == 0 {
+		return nil, nil, ErrNoMembers
 	}
-	ref, ok := members[ring.Owner(key)]
-	if !ok {
-		return 0
-	}
+	return ring, members, nil
+}
+
+// callOwner implements owners: one sub-invocation through the member's
+// proxy.
+func (r *Router) callOwner(ctx context.Context, owner string, ref codec.Ref, method string, args []any) ([]any, error) {
+	return r.invokeMember(ctx, owner, ref, method, args...)
+}
+
+// ownerScore implements owners.
+func (r *Router) ownerScore(ref codec.Ref) float64 {
 	return r.rt.HealthScore(ref.Target.Addr.Node)
 }
+
+// misrouted implements owners: the router's table is authoritative, so
+// a misroute only means a rebalance is committing; nothing to count.
+func (r *Router) misrouted() {}
+
+// authoritative implements owners: the router owns the table.
+func (r *Router) authoritative() bool { return true }
 
 // handleTable serves kindTable fetches from shard proxies.
 func (r *Router) handleTable() func(payload []byte) (wire.Kind, []byte, []byte) {

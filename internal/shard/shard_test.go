@@ -500,3 +500,93 @@ func TestRoutersDroppedAtNodeClose(t *testing.T) {
 		t.Error("registry still holds the router's runtime after its node closed")
 	}
 }
+
+// TestShardScatterReroutesOnlyMovedKeys: a rebalance behind the proxy's
+// back moves some of a batch's keys. Their old owner refuses just those
+// keys as misrouted; the proxy refetches the table and resends only
+// them, so every key is read exactly once and the results stay aligned.
+func TestShardScatterReroutesOnlyMovedKeys(t *testing.T) {
+	w := newShardWorld(t, 2, 1)
+	p := w.proxy(t, 0)
+	ctx := context.Background()
+	const n = 24
+	args := make([]any, n)
+	for i := range args {
+		k := fmt.Sprintf("key-%d", i)
+		args[i] = []any{k, int64(i)}
+	}
+	if _, err := p.Invoke(ctx, "mput", args...); err != nil {
+		t.Fatal(err)
+	}
+	before := p.Epoch()
+	w.addMember("m2")
+	ring := NewRing([]string{"m0", "m1", "m2"}, w.factory.vnodes)
+	moved := 0
+	for i := range args {
+		k := fmt.Sprintf("key-%d", i)
+		args[i] = k
+		if ring.Owner(k) == "m2" {
+			moved++
+		}
+	}
+	if moved == 0 || moved == n {
+		t.Fatalf("%d of %d keys moved; the test needs some of each", moved, n)
+	}
+
+	res, err := p.Invoke(ctx, "mget", args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range res {
+		if v != int64(i) {
+			t.Errorf("mget[%d] = %v, want %d", i, v, i)
+		}
+	}
+	if _, mis := p.Stats(); mis == 0 {
+		t.Error("route.misroutes did not rise")
+	}
+	if p.Epoch() <= before {
+		t.Errorf("epoch %d did not advance past %d", p.Epoch(), before)
+	}
+	for i := range args {
+		k := args[i].(string)
+		reads := 0
+		for _, st := range w.stores {
+			reads += st.getCount(k)
+		}
+		if reads != 1 {
+			t.Errorf("%s read %d times, want 1 (only refused keys are resent)", k, reads)
+		}
+	}
+}
+
+// TestShardBatchMalformedFromWire: a member refuses a malformed batch
+// that arrives over the wire from a plain stub, not just one built by
+// the shard proxy.
+func TestShardBatchMalformedFromWire(t *testing.T) {
+	w := newShardWorld(t, 1, 1)
+	ctx := context.Background()
+	mp, err := w.clients[0].Import(w.refs["m0"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, args := range map[string][]any{
+		"non-key element":    {[]any{int64(1)}},
+		"empty key vector":   {[]any{[]any{}}},
+		"trailing arguments": {[]any{"a"}, int64(2)},
+	} {
+		_, err := mp.Invoke(ctx, "get", args...)
+		if err == nil {
+			t.Fatalf("%s: malformed batch accepted", name)
+		}
+		invokeCode(t, err, core.CodeBadArgs)
+	}
+	// A well-formed batch from the same stub is served.
+	res, err := mp.Invoke(ctx, "get", []any{"a", "b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vals, ok := res[0].([]any); !ok || len(vals) != 2 {
+		t.Fatalf("batch reply = %v, want two results", res)
+	}
+}

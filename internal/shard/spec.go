@@ -14,10 +14,14 @@ import (
 // SingleKey methods take the key as their first argument (a string) and
 // are routed to the owning shard. MultiKey methods fan out: each
 // argument addresses one key — either a bare string key or an []any
-// vector whose first element is the key — and is rewritten into one
-// invocation of the mapped single-key method ("mget" → "get") on the
-// key's owner. Methods in neither set are refused: a sharded service has
-// no single context that could answer them.
+// vector whose first element is the key and which holds that key's
+// single-key arguments. The keys are grouped by owner, and each owner
+// gets one batch: an invocation of the mapped single-key method ("mget"
+// → "get") whose only argument is the list of that owner's elements.
+// The owner's Guard runs each element as its own single-key invocation
+// and answers with one result per element. Methods in neither set are
+// refused: a sharded service has no single context that could answer
+// them.
 type Spec struct {
 	SingleKey []string
 	MultiKey  map[string]string
@@ -50,11 +54,11 @@ func keyOf(method string, args []any) (string, error) {
 }
 
 // keyErrorStruct is the wire name KeyError values lower to when a
-// scatter-gather result crosses a context boundary (the router facade
-// serving plain-stub clients).
+// multi-key result crosses a context boundary: a Guard's batch reply,
+// and the router facade serving plain-stub clients.
 const keyErrorStruct = "shard.KeyError"
 
-// KeyError is one key's failure inside a scatter-gather result vector:
+// KeyError is one key's failure inside a multi-key result vector:
 // the other keys' results are still present at their positions. It
 // unwraps to the underlying invocation error.
 type KeyError struct {
@@ -70,21 +74,26 @@ func (e *KeyError) Error() string {
 // Unwrap exposes the underlying invocation error to errors.As/Is.
 func (e *KeyError) Unwrap() error { return e.Err }
 
-// lower converts the KeyError to its wire form.
+// lower converts the KeyError to its wire form. An InvokeError travels
+// as its code, method and message, so AsKeyError rebuilds the same
+// error and lowering again (the router facade relaying a member's
+// batch reply) is lossless.
 func (e *KeyError) lower() *codec.Struct {
-	code := core.CodeApp
-	var ie *core.InvokeError
-	if errors.As(e.Err, &ie) {
+	code, method, msg := core.CodeApp, "", e.Err.Error()
+	if ie, ok := e.Err.(*core.InvokeError); ok {
+		code, method, msg = ie.Code, ie.Method, ie.Msg
+	} else if errors.As(e.Err, &ie) {
 		code = ie.Code
 	}
 	return &codec.Struct{Name: keyErrorStruct, Fields: []codec.Field{
 		{Name: "key", Value: e.Key},
 		{Name: "code", Value: int64(code)},
-		{Name: "msg", Value: e.Err.Error()},
+		{Name: "msg", Value: msg},
+		{Name: "method", Value: method},
 	}}
 }
 
-// AsKeyError recognizes a per-key failure inside a scatter-gather result
+// AsKeyError recognizes a per-key failure inside a multi-key result
 // vector, whether it arrived in-process (*KeyError) or across the wire
 // (a codec.Struct named shard.KeyError).
 func AsKeyError(v any) (*KeyError, bool) {
@@ -96,7 +105,7 @@ func AsKeyError(v any) (*KeyError, bool) {
 			return nil, false
 		}
 		ke := &KeyError{}
-		code, msg := int64(core.CodeApp), ""
+		code, method, msg := int64(core.CodeApp), "", ""
 		if k, ok := x.Get("key"); ok {
 			ke.Key, _ = k.(string)
 		}
@@ -106,7 +115,10 @@ func AsKeyError(v any) (*KeyError, bool) {
 		if m, ok := x.Get("msg"); ok {
 			msg, _ = m.(string)
 		}
-		ke.Err = &core.InvokeError{Code: core.Code(code), Msg: msg}
+		if m, ok := x.Get("method"); ok {
+			method, _ = m.(string)
+		}
+		ke.Err = &core.InvokeError{Code: core.Code(code), Method: method, Msg: msg}
 		return ke, true
 	default:
 		return nil, false

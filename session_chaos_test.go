@@ -546,3 +546,116 @@ func TestChaosSessionWALReassumption(t *testing.T) {
 	}
 	t.Logf("seed %d: 5 writes survived the crash, retries of seq 2 and 5 answered from rebuilt dedup state", seed)
 }
+
+// newSessionShardFacade stands up one shard router (node 1) over one
+// plain guard (node 2), with node 3 free for a client. It returns the
+// cluster, the sharded reference and the guard's store. rtOpts apply to
+// every node.
+func newSessionShardFacade(t *testing.T, name string, rtOpts ...core.RuntimeOption) (*chaosCluster, codec.Ref, *bench.KV) {
+	t.Helper()
+	c := newChaosCluster(t, 3,
+		[]rpc.ClientOption{rpc.WithRetryInterval(5 * time.Millisecond), rpc.WithMaxAttempts(20)},
+		rtOpts...)
+	spec := bench.KVShardSpec()
+	sf := shard.NewFactory(spec, shard.WithName(name))
+	router := shard.NewRouter(c.rts[0], sf)
+	kv := bench.NewKV()
+	member, err := c.rts[1].Export(shard.NewGuard("m0", spec, kv), name+"Guard")
+	if err != nil {
+		t.Fatal(err)
+	}
+	actx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if err := router.AddMember(actx, "m0", member); err != nil {
+		t.Fatalf("admit m0: %v", err)
+	}
+	ref, err := c.rts[0].ExportVia(sf, router, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, ref, kv
+}
+
+// seededKeys draws three distinct keys and values from the chaos seed.
+func seededKeys() ([]string, []int64) {
+	seed := chaosSeed()
+	keys := make([]string, 3)
+	vals := make([]int64, 3)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("s%d-k%d", seed, i)
+		vals[i] = seed*100 + int64(2*i+7)
+	}
+	return keys, vals
+}
+
+// TestChaosSessionShardMultiKeyWrite: a caller-stamped identity on a
+// multi-key write through the sharded proxy must not be presented for
+// every key. If it were, the guard's dedup table would answer all keys
+// but the first with the first key's cached reply, and never apply them:
+// acked writes lost and wrong values returned.
+func TestChaosSessionShardMultiKeyWrite(t *testing.T) {
+	leakCheck(t)
+	c, ref, kv := newSessionShardFacade(t, "SessMputKV")
+	c.rts[2].RegisterProxyType("SessMputKV", shard.NewFactory(shard.Spec{}))
+	p, err := c.rts[2].Import(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := p.(*shard.Proxy); !ok {
+		t.Fatalf("client proxy is %T, want *shard.Proxy", p)
+	}
+	keys, vals := seededKeys()
+	args := make([]any, len(keys))
+	for i, k := range keys {
+		args[i] = []any{k, vals[i]}
+	}
+	ctx := core.ContextWithSession(context.Background(), 0x5E55, 1)
+	res, err := p.Invoke(ctx, "mput", args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range keys {
+		if res[i] != vals[i] {
+			t.Errorf("mput[%d] = %v, want %d", i, res[i], vals[i])
+		}
+		if got := kv.Get(k); got != vals[i] {
+			t.Errorf("store %s = %d after the acked mput, want %d", k, got, vals[i])
+		}
+	}
+}
+
+// TestChaosSessionShardFacadeMultiKeyRead: under core.WithSessions a
+// plain stub stamps its mget with one identity, and the router facade
+// receives it. Forwarded to every key's sub-invocation, the member would
+// answer each key with the first key's cached value.
+func TestChaosSessionShardFacadeMultiKeyRead(t *testing.T) {
+	leakCheck(t)
+	c, ref, _ := newSessionShardFacade(t, "SessMgetKV", core.WithSessions())
+	p, err := c.rts[2].Import(ref) // no shard factory: a plain stub
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := p.(*shard.Proxy); ok {
+		t.Fatal("client built a shard proxy; the facade path is untested")
+	}
+	ctx := context.Background()
+	keys, vals := seededKeys()
+	args := make([]any, len(keys))
+	for i, k := range keys {
+		if _, err := p.Invoke(ctx, "put", k, vals[i]); err != nil {
+			t.Fatal(err)
+		}
+		args[i] = k
+	}
+	for round := 0; round < 3; round++ {
+		res, err := p.Invoke(ctx, "mget", args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range keys {
+			if res[i] != vals[i] {
+				t.Errorf("round %d: mget[%d] = %v, want %d", round, i, res[i], vals[i])
+			}
+		}
+	}
+}
